@@ -91,6 +91,16 @@ int run(int argc, const char* const* argv) {
   }
   emit(cli, table, "e1_scaling_n_table");
 
+  // One size leaves nothing to fit: say so on the verdict line and exit
+  // nonzero without reaching linear_fit (which rejects fewer than two
+  // points).
+  if (xs.size() < 2) {
+    std::cout << "\nSHAPE E1: SKIP — the rounds-vs-log n fit needs at least "
+                 "two --sizes, got "
+              << xs.size() << "\n";
+    return 1;
+  }
+
   // Shape checks: fading median ~ linear in log n with a strong fit, and
   // the decay baseline's tail is slower at every non-trivial n. (The full
   // log^2 n behaviour lives at the 1 - 1/n quantile, measured by E3 with a

@@ -67,8 +67,18 @@ void BM_SinrResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_SinrResolve)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
+/// Which stage decided the listeners of the last resolved round: the cell
+/// certificate, the full-sweep certificate, or the exact scan.
+void export_resolver_stats(benchmark::State& state,
+                           const BatchResolver::Stats& stats) {
+  state.counters["cell_certified"] = static_cast<double>(stats.cell_certified);
+  state.counters["sweep_certified"] =
+      static_cast<double>(stats.sweep_certified);
+  state.counters["exact"] = static_cast<double>(stats.exact);
+}
+
 void BM_BatchResolve(benchmark::State& state) {
-  // The certified-filter batch path (exact mode): bit-identical output to
+  // The certified cell-blocked pipeline: bit-identical output to
   // BM_SinrResolve's scan. The resolver persists across iterations the way
   // it persists across a trial's rounds, so scratch reuse is measured too.
   // scripts/perf_smoke.sh compares this against BM_SinrResolve at the same
@@ -90,38 +100,9 @@ void BM_BatchResolve(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(tx.size() * listeners.size()));
-  state.counters["certified"] =
-      static_cast<double>(resolver.last_stats().certified);
-  state.counters["exact_fallbacks"] =
-      static_cast<double>(resolver.last_stats().exact_fallbacks);
+  export_resolver_stats(state, resolver.last_stats());
 }
-BENCHMARK(BM_BatchResolve)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_BatchResolveTiled(benchmark::State& state) {
-  // The approximate far-field tile accumulator (opt-in mode): aggregates
-  // distant tiles once per tile. Not bit-identical — see docs/PERF.md for
-  // the error bound.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Deployment dep = make_uniform(n);
-  const SinrParams params =
-      SinrParams::for_longest_link(3.0, 1.5, 1e-9, dep.max_link());
-  BatchResolveOptions options;
-  options.far_field_tiles = true;
-  BatchResolver resolver(params, options);
-  Rng rng(3);
-  std::vector<NodeId> tx, listeners;
-  for (NodeId i = 0; i < n; ++i) {
-    (rng.bernoulli(0.2) ? tx : listeners).push_back(i);
-  }
-  std::vector<Reception> out;
-  for (auto _ : state) {
-    resolver.resolve(dep, tx, listeners, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tx.size() * listeners.size()));
-}
-BENCHMARK(BM_BatchResolveTiled)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_BatchResolve)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_SinrResolveExhaustive(benchmark::State& state) {
   // The O(T^2 L) reference resolver; the ratio to BM_SinrResolve quantifies
@@ -278,8 +259,9 @@ void BM_ResolveMask(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(tx_count * (n - tx_count)));
+  export_resolver_stats(state, resolver.last_stats());
 }
-BENCHMARK(BM_ResolveMask)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_ResolveMask)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_FullExecution(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -120,10 +120,10 @@ doc["benchmarks"] = [b for b in doc["benchmarks"]
 json.dump(doc, open(sys.argv[2], "w"), indent=1)
 EOF
 
-# Non-gating speedup report: batch vs reference scan per n, the
-# incremental-instrumentation gain on the trial benches, the columnar
-# round loop vs the per-node virtual engine, and the SIMD lane kernels vs
-# the scalar columnar kernels.
+# Non-gating speedup report: batch vs reference scan per n, the resolver's
+# per-stage listener counts, the incremental-instrumentation gain on the
+# trial benches, the columnar round loop vs the per-node virtual engine,
+# and the SIMD lane kernels vs the scalar columnar kernels.
 python3 - "$OUT" <<'EOF' || true
 import json, sys
 runs = {b["name"]: b["real_time"] for b in json.load(open(sys.argv[1]))["benchmarks"]}
@@ -139,6 +139,17 @@ for name, t in sorted(runs.items()):
     if batch and mask:
         print(f"perf_smoke: resolve-mask n={n}: id-vector {batch/1e6:.3f} ms, "
               f"mask {mask/1e6:.3f} ms, speedup {batch/mask:.2f}x")
+# Which resolver stage decided the listeners, per n (16384 shows scaling).
+for b in json.load(open(sys.argv[1]))["benchmarks"]:
+    if not b["name"].startswith(("BM_BatchResolve/", "BM_ResolveMask/")):
+        continue
+    cell, sweep, exact = (b.get(k, 0.0) for k in
+                          ("cell_certified", "sweep_certified", "exact"))
+    if cell + sweep + exact > 0:
+        print(f"perf_smoke: {b['name']}: {b['real_time']/1e6:.3f} ms; "
+              f"decided by cell {cell:.0f}, sweep {sweep:.0f}, exact "
+              f"{exact:.0f} (fallback share "
+              f"{(sweep + exact) / (cell + sweep + exact):.3f})")
 rebuild = runs.get("BM_TrialInstrumentedRebuild/256")
 incr = runs.get("BM_TrialWorkspace/256")
 if rebuild and incr:

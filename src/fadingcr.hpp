@@ -32,7 +32,7 @@
 // Channel models.
 #include "radio/channel.hpp"      // classical radio (collision) model
 #include "sinr/accumulate.hpp"    // deterministic pairwise summation
-#include "sinr/batch.hpp"         // batched/tiled round resolution
+#include "sinr/batch.hpp"         // certified cell-blocked round resolution
 #include "sinr/channel.hpp"       // the paper's fading channel
 #include "sinr/params.hpp"        // SINR parameters, single-hop bound
 #include "sinr/validate.hpp"      // model-assumption audit

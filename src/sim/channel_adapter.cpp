@@ -13,15 +13,7 @@ void SinrChannelAdapter::resolve(const Deployment& dep,
   FCR_ENSURE_ARG(out.size() == listeners.size(),
                  "feedback span size mismatch: " << out.size() << " vs "
                                                  << listeners.size());
-  // Both branches are bit-identical (tests/test_batch_resolve.cpp and
-  // test_channel_equivalence assert it); the cutover only picks the faster
-  // code path for the round size.
-  if (transmitters.size() < kSmallRoundCutover) {
-    resolver_.channel().resolve(dep, transmitters, listeners, receptions_,
-                                scan_scratch_);
-  } else {
-    resolver_.resolve(dep, transmitters, listeners, receptions_);
-  }
+  resolver_.resolve(dep, transmitters, listeners, receptions_);
   for (std::size_t i = 0; i < listeners.size(); ++i) {
     Feedback& f = out[i];
     f.transmitted = false;
@@ -37,8 +29,6 @@ void SinrChannelAdapter::resolve_mask(
     std::span<const std::uint64_t> listen_words,
     std::size_t /*transmitter_count*/,
     std::span<std::uint64_t> received) const {
-  // No kSmallRoundCutover here: the scan only beat the batch path because
-  // of the id-vector/Reception round trip the mask path eliminates.
   resolver_.resolve_mask(dep, transmit_words, listen_words, received);
 }
 

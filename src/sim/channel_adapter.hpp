@@ -71,25 +71,14 @@ class ChannelAdapter {
   }
 };
 
-/// SINR fading channel adapter (the paper's model). Rounds are resolved by
-/// the exact-mode BatchResolver — bit-identical to SinrChannel::resolve
-/// but reusing scratch across the trial's rounds — except for SMALL rounds:
-/// below kSmallRoundCutover transmitters the batch path's multi-pass
-/// structure costs more than it saves (measured ~1.4x slower at n = 64),
-/// so those rounds go through the plain single-pass scan, which makes the
-/// same decisions bit-for-bit. The resolver and scratch are mutable
-/// per-round state, so one adapter instance must not resolve concurrently
-/// from several threads; the trial runners confine each instance to one
-/// worker.
+/// SINR fading channel adapter (the paper's model). Every round, of any
+/// size, is resolved by the BatchResolver — bit-identical to
+/// SinrChannel::resolve, reusing its grid and scratch across the trial's
+/// rounds. The resolver is mutable per-round state, so one adapter
+/// instance must not resolve concurrently from several threads; the trial
+/// runners confine each instance to one worker.
 class SinrChannelAdapter final : public ChannelAdapter {
  public:
-  /// Rounds with fewer transmitters than this use SinrChannel::resolve
-  /// directly instead of the BatchResolver. Chosen from BM_SinrResolve vs
-  /// BM_BatchResolve: the filter starts winning between n = 256 (~85
-  /// transmitters) and n = 1024; both paths produce identical bits, so
-  /// the constant only affects speed.
-  static constexpr std::size_t kSmallRoundCutover = 128;
-
   explicit SinrChannelAdapter(SinrParams params) : resolver_(params) {}
   explicit SinrChannelAdapter(SinrChannel channel)
       : resolver_(std::move(channel)) {}
@@ -98,19 +87,17 @@ class SinrChannelAdapter final : public ChannelAdapter {
 
   const SinrChannel& channel() const { return resolver_.channel(); }
 
-  /// SINR decoding is deterministic per listener (both the scan and the
-  /// batch path), and the small-round cutover keys on the transmitter
-  /// count only — listener subsets resolve to identical bits.
+  /// SINR decoding is deterministic per listener: each listener's answer
+  /// depends only on its own position, so listener subsets resolve to
+  /// identical bits.
   bool resolves_listeners_independently() const override { return true; }
 
   void resolve(const Deployment& dep, std::span<const NodeId> transmitters,
                std::span<const NodeId> listeners,
                std::span<Feedback> out) const override;
 
-  /// The bitmask path always routes through the BatchResolver's certified
-  /// filter (no small-round cutover): without the id-vector/Feedback
-  /// materialization the batch pipeline wins at every transmitter count
-  /// the scan used to cover (BM_ResolveMask vs BM_SinrResolve).
+  /// The bitmask path runs the same certified pipeline without the
+  /// id-vector/Feedback materialization.
   bool supports_mask_resolve() const override { return true; }
   void resolve_mask(const Deployment& dep,
                     std::span<const std::uint64_t> transmit_words,
@@ -121,7 +108,6 @@ class SinrChannelAdapter final : public ChannelAdapter {
  private:
   mutable BatchResolver resolver_;
   mutable std::vector<Reception> receptions_;
-  mutable SinrChannel::ResolveScratch scan_scratch_;
 };
 
 /// Classical radio network adapter; optional collision detection.

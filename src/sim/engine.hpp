@@ -30,7 +30,7 @@ struct RoundView;
 /// Which round loop drives an execution. Both produce bit-identical
 /// results for every supported algorithm (same rng.split(id) lineage, same
 /// RunResult including the recorded history); the choice only affects
-/// speed, mirroring the small-round SINR cutover.
+/// speed.
 enum class ExecutionPath : std::uint8_t {
   kAuto = 0,      ///< columnar when the algorithm supports it and n is large
   kVirtual = 1,   ///< per-node virtual state machines (the historical engine)

@@ -18,7 +18,7 @@
 //     generation): run_trials_parallel's factories are pure functions of
 //     the deployment, so when consecutive trials on a worker see the same
 //     position buffer (Deployment::generation()), the channel adapter — and
-//     with it the BatchResolver's cached gain/geometry scratch — and the
+//     with it the BatchResolver's cached grid and scratch — and the
 //     algorithm are rebuilt once per worker instead of once per trial.
 //
 // Reset discipline (checked by fcrlint's workspace-reset rule): every
@@ -51,8 +51,8 @@ class ExecutionWorkspace {
   /// Deployments below this size run the virtual path even when the
   /// algorithm supports columnar execution: the SoA loop pays a fixed
   /// per-round sweep over the bitmask words, which only wins once enough
-  /// nodes amortize it. Mirrors SinrChannelAdapter::kSmallRoundCutover —
-  /// both paths are bit-identical, so the constant only affects speed.
+  /// nodes amortize it. Both paths are bit-identical, so the constant only
+  /// affects speed.
   static constexpr std::size_t kColumnarCutover = 32;
 
   /// Columnar deployments below this size keep the scalar decide kernels:

@@ -1,26 +1,27 @@
 // Batched SINR round resolution — the hot path behind the trial engine.
 //
 // BatchResolver answers the same question as SinrChannel::resolve() and is
-// BIT-IDENTICAL to it in the default (exact) mode, but is built for
-// throughput when one round resolves many listeners against the same
-// transmitter set:
+// BIT-IDENTICAL to it, but is built for throughput when one round resolves
+// many listeners against the same transmitter set. Every round runs one
+// certified pipeline (docs/PERF.md §2):
 //
-//   * flat transmitter position arrays and per-listener scratch are cached
-//     across the round's listener scans (and across rounds — the resolver
-//     is meant to live as long as the trial);
-//   * a CERTIFIED approximate filter decides most listeners with cheap
-//     vectorizable passes (squared distances, a lane-blocked argmin, and a
-//     reciprocal-sqrt approximation of the total received power). The
-//     filter only accepts a decision when the approximation error bound
-//     proves the exact comparison would agree; every near-threshold
-//     listener falls back to the exact canonical scan, so the OUTPUT is
-//     bit-for-bit the reference answer while the typical cost per listener
-//     drops by >2x (see docs/PERF.md);
-//   * an OPTIONAL far-field tile accumulator (off by default) aggregates
-//     interference from distant tiles once per tile instead of once per
-//     transmitter. That mode is approximate — decisions near the SINR
-//     threshold may differ from the exact resolver — and exists for
-//     very large sweeps that can tolerate the documented error bound.
+//   * the transmitters are bucketed into a uniform grid of about six per
+//     cell, sized from the round's transmitter count and bounding box only;
+//     a grid no wider than the 3x3 near block collapses to 1x1, which is
+//     the plain listener-blocked sweep, so small rounds need no separate
+//     path;
+//   * each listener cell gets a RIGOROUS far-field interval once: every
+//     transmitter cell outside Chebyshev ring 1 contributes
+//     count * [signal(farthest point), signal(nearest point)] — the paper's
+//     annulus bound, region by region — and its listeners sweep only the
+//     3x3 near block, eight at a time, with exact squared distances and an
+//     approximate screening sum;
+//   * a listener is decided there only when its nearest near-block
+//     transmitter is strictly closer than any far cell and its best signal
+//     clears beta * (noise + interference) at both ends of the interval;
+//     the rest fall through to the listener-blocked sweep over every
+//     transmitter and then to the canonical exact scan, so the OUTPUT is
+//     bit-for-bit the reference answer.
 //
 // Thread-safety: a BatchResolver owns mutable scratch, so concurrent
 // resolve() calls on ONE instance are not allowed. Use one resolver per
@@ -30,6 +31,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -38,46 +40,33 @@
 
 namespace fcr {
 
-/// Tuning knobs for BatchResolver. The defaults are the exact mode.
-struct BatchResolveOptions {
-  /// Enables the approximate far-field tile accumulator. OFF by default:
-  /// when set, decisions are no longer guaranteed bit-identical to
-  /// SinrChannel::resolve() (see docs/PERF.md for the error bound).
-  bool far_field_tiles = false;
-  /// Tile side length; 0 picks one from the transmitter bounding box so
-  /// the tile count grows like T^(2/3).
-  double tile_size = 0.0;
-  /// Tiles within this Chebyshev tile distance of the listener's tile are
-  /// resolved exactly, per transmitter; tiles beyond it contribute
-  /// count * signal(centroid distance). Must be >= 1.
-  std::size_t near_ring = 3;
-};
-
 /// Reusable batched resolver bound to one channel parameter set.
 class BatchResolver {
  public:
-  explicit BatchResolver(SinrParams params, BatchResolveOptions options = {});
-  explicit BatchResolver(SinrChannel channel, BatchResolveOptions options = {});
+  explicit BatchResolver(SinrParams params);
+  explicit BatchResolver(SinrChannel channel);
 
   const SinrChannel& channel() const { return channel_; }
-  const BatchResolveOptions& options() const { return options_; }
 
-  /// Per-call accounting, reset by every resolve(): how many listeners the
-  /// certified filter decided outright, how many needed the exact
-  /// fallback scan, and how many went through the (approximate) tile path.
+  /// Per-call accounting, reset by every resolve: how many listeners the
+  /// call saw and which stage decided each of them — the cell certificate
+  /// (near block + far interval), the sweep certificate (every
+  /// transmitter, approximate sum), or the canonical exact scan.
   struct Stats {
     std::size_t listeners = 0;
-    std::size_t certified = 0;
-    std::size_t exact_fallbacks = 0;
-    std::size_t tiled = 0;
+    std::size_t cell_certified = 0;
+    std::size_t sweep_certified = 0;
+    std::size_t exact = 0;
   };
   const Stats& last_stats() const { return stats_; }
 
-  /// Resolves one round into `out` (resized to listeners.size()). In the
-  /// default mode the result is bit-identical to
-  /// channel().resolve(dep, transmitters, listeners).
+  /// Resolves one round into `out` (resized to listeners.size()),
+  /// bit-identical to channel().resolve(dep, transmitters, listeners),
+  /// including the sender (first transmitter index on distance ties).
   /// Same preconditions as SinrChannel::resolve; a listener colocated with
-  /// a transmitter throws std::invalid_argument.
+  /// a transmitter throws std::invalid_argument, leaving `out` as the
+  /// reference leaves it: earlier listeners resolved, that one and later
+  /// ones silent.
   void resolve(const Deployment& dep, std::span<const NodeId> transmitters,
                std::span<const NodeId> listeners, std::vector<Reception>& out);
 
@@ -91,56 +80,72 @@ class BatchResolver {
   /// two masks must be disjoint), receptions leave as the received bitmask
   /// written over `received_out` (same word count as the inputs) — no
   /// id-vector or Reception materialization between protocol and channel.
-  /// Decision bits are identical to resolve() on the equivalent id vectors:
-  /// word-skip enumeration visits ids in the same ascending order, and each
-  /// listener runs the same certified-filter/exact-fallback pipeline.
-  /// Exact mode only — throws if the approximate far_field_tiles option is
-  /// enabled, so a received bit can never come from the tile path.
+  /// Decision bits are identical to resolve() on the equivalent ascending
+  /// id vectors, colocation throws included.
   void resolve_mask(const Deployment& dep,
                     std::span<const std::uint64_t> transmit_words,
                     std::span<const std::uint64_t> listen_words,
                     std::span<std::uint64_t> received_out);
 
  private:
-  void load_transmitters(const Deployment& dep,
-                         std::span<const NodeId> transmitters);
-  /// Filter-eligible rounds of resolve_mask (>= kFilterMinTransmitters
-  /// transmitters, closed-form alpha): certifies listeners kLanes at a
-  /// time via the listener-blocked fused sweep, falling back to the
-  /// per-listener exact pipeline for near-threshold or degenerate lanes
-  /// and for the ragged tail. Decision bits identical to resolve_plain.
-  void resolve_mask_filtered(const Deployment& dep,
-                             std::span<const std::uint64_t> listen_words,
-                             std::span<std::uint64_t> received_out);
-  Reception resolve_plain(Vec2 v);
-  Reception resolve_exact(std::size_t best);
-  void build_tiles();
-  Reception resolve_tiled(Vec2 v);
+  /// Round-local index of a transmitter, listener or grid cell.
+  using Index = std::uint32_t;
+
+  /// Far-field interval of a listener group: interference from outside
+  /// the swept set lies in [lo, hi], and no such transmitter is nearer
+  /// than squared distance d2.
+  struct Far {
+    double lo, hi, d2;
+  };
+
+  /// Resolves the loaded round: decision_[i] becomes the decoded
+  /// transmitter index of listener i, or kNone. With `want_sender` false
+  /// (mask path) only the received/silent distinction is kept.
+  void run_round(const Deployment& dep, bool want_sender);
+  void build_grid();
+  template <typename K>
+  void run_stages(const K& kernel);
+  /// Cell certificate for the listeners of cell `c`: the 3x3 near block
+  /// swept exactly, the far interval over every other occupied cell;
+  /// undecided listeners go on to the sweep (or the exact scan).
+  template <typename K>
+  void cell_stage(const K& kernel, std::size_t c);
+  /// Certifies up to eight listeners of `ids` against `count` transmitters
+  /// (SoA x, y, transmitter index) plus `far`; each decided one counts in
+  /// `decided`, undecided ones go to `next`.
+  template <typename K>
+  void certify_block(const K& kernel, const Index* ids, std::size_t lanes,
+                     const double* xs, const double* ys, const Index* idx,
+                     std::size_t count, const Far& far, std::size_t& decided,
+                     std::vector<Index>& next);
+  void exact_scan(Index i);
 
   SinrChannel channel_;
-  BatchResolveOptions options_;
   Stats stats_;
 
-  // Flat transmitter snapshot for the round being resolved.
-  std::vector<NodeId> tx_ids_;
-  std::vector<double> tx_x_, tx_y_;
+  // The round: transmitter ids in canonical index order, listener ids in
+  // output order, the deployment's positions (valid during one call), and
+  // one decision per listener.
+  std::vector<NodeId> tx_ids_, l_ids_;
+  std::span<const Vec2> pos_;
+  std::vector<Index> decision_;
+  Index first_colocated_ = 0;
+  bool want_sender_ = false;
 
-  // Per-listener scratch, reused across listeners and rounds.
+  // Per-round grid: transmitters counting-sorted by cell (CSR t_off_,
+  // coordinates s_x_/s_y_, index s_idx_), listeners grouped by cell
+  // (l_off_, l_order_), occupied cells with their count and tight box.
+  std::size_t gx_ = 1, gy_ = 1;
+  double min_x_ = 0.0, min_y_ = 0.0, inv_hx_ = 0.0, inv_hy_ = 0.0;
+  std::vector<Index> t_off_, l_off_, cursor_, s_idx_, l_order_;
+  std::vector<double> s_x_, s_y_;
+  std::vector<double> occ_ix_, occ_iy_, occ_n_, occ_x0_, occ_x1_, occ_y0_,
+      occ_y1_;
+
+  // Stage scratch, reused across cells and rounds.
+  std::vector<double> n_x_, n_y_;
+  std::vector<Index> n_idx_, sweep_q_, exact_q_;
   std::vector<double> d2_, sig_, scratch_;
-
-  // Far-field tile grid (built per round when the option is on).
-  struct TileGrid {
-    double min_x = 0.0, min_y = 0.0;
-    double size = 0.0, inv_size = 0.0;
-    std::size_t gx = 0, gy = 0;
-    std::vector<std::size_t> offsets;   // CSR over tiles, gx*gy + 1
-    std::vector<std::size_t> members;   // transmitter indices, tile-grouped
-    std::vector<double> cx, cy;         // centroid per tile
-    std::vector<std::size_t> occupied;  // non-empty tile ids, ascending
-    bool valid = false;
-  };
-  TileGrid tiles_;
-  std::vector<std::size_t> near_;  // near-ring member indices scratch
 };
 
 }  // namespace fcr

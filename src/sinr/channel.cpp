@@ -45,28 +45,12 @@ double SinrChannel::signal_from_dist_sq(double d2) const {
 std::vector<Reception> SinrChannel::resolve(
     const Deployment& dep, std::span<const NodeId> transmitters,
     std::span<const NodeId> listeners) const {
-  std::vector<Reception> out;
-  ResolveScratch scratch;
-  resolve(dep, transmitters, listeners, out, scratch);
-  return out;
-}
-
-void SinrChannel::resolve(const Deployment& dep,
-                          std::span<const NodeId> transmitters,
-                          std::span<const NodeId> listeners,
-                          std::vector<Reception>& out,
-                          ResolveScratch& scratch) const {
-  out.assign(listeners.size(), Reception{});
-  if (transmitters.empty()) return;
+  std::vector<Reception> out(listeners.size());
+  if (transmitters.empty()) return out;
 
   // Flat position arrays keep the per-listener scan tight and vectorizable.
   const std::size_t t = transmitters.size();
-  std::vector<double>& tx = scratch.tx;
-  std::vector<double>& ty = scratch.ty;
-  std::vector<double>& sig = scratch.sig;
-  tx.resize(t);
-  ty.resize(t);
-  sig.resize(t);
+  std::vector<double> tx(t), ty(t), sig(t), pairwise;
   for (std::size_t j = 0; j < t; ++j) {
     const Vec2 p = dep.position(transmitters[j]);
     tx[j] = p.x;
@@ -95,11 +79,12 @@ void SinrChannel::resolve(const Deployment& dep,
     // non-negative, so no clamp is needed), in transmitter order — exactly
     // what sinr()/can_receive() compute over an explicit interferer list.
     const double interference =
-        pairwise_sum_excluding(sig, best_j, scratch.pairwise);
+        pairwise_sum_excluding(sig, best_j, pairwise);
     if (decodes(sig[best_j], interference)) {
       out[i].sender = transmitters[best_j];
     }
   }
+  return out;
 }
 
 std::vector<Reception> SinrChannel::resolve_exhaustive(

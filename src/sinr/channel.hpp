@@ -57,25 +57,12 @@ class SinrChannel {
   /// whether it decodes a message from some id in `transmitters`.
   /// Preconditions: ids valid; `transmitters` and `listeners` disjoint
   /// (an id in both sets is a zero-distance link and throws).
-  /// Returns one Reception per listener, in listener order.
+  /// Returns one Reception per listener, in listener order. This scan is
+  /// the oracle of the tests and benchmarks; production rounds go through
+  /// BatchResolver (sinr/batch.hpp), which must match it bit for bit.
   std::vector<Reception> resolve(const Deployment& dep,
                                  std::span<const NodeId> transmitters,
                                  std::span<const NodeId> listeners) const;
-
-  /// Caller-owned buffers for the allocation-free resolve overload; reuse
-  /// one instance across rounds and its vectors stop growing after the
-  /// largest round seen.
-  struct ResolveScratch {
-    std::vector<double> tx, ty, sig, pairwise;
-  };
-
-  /// Same decisions as resolve() — bit-identical, it IS the same scan —
-  /// but writing into `out` and borrowing `scratch` instead of allocating.
-  /// This is the small-round fast path of SinrChannelAdapter, where the
-  /// batched resolver's multi-pass structure costs more than it saves.
-  void resolve(const Deployment& dep, std::span<const NodeId> transmitters,
-               std::span<const NodeId> listeners, std::vector<Reception>& out,
-               ResolveScratch& scratch) const;
 
   /// Reference implementation of resolve(): evaluates the SINR inequality
   /// for EVERY (listener, candidate sender) pair — O(T^2 L) — with no

@@ -1,11 +1,13 @@
 // BatchResolver equivalence suite: the batched hot path must return
-// BIT-IDENTICAL Reception vectors to SinrChannel::resolve in exact mode,
-// across path-loss exponents (fast paths and the generic pow path),
-// deployment shapes, and repeated scratch-reusing calls. The tile mode is
-// approximate by contract; its tests bound the disagreement instead.
+// BIT-IDENTICAL Reception vectors to SinrChannel::resolve across path-loss
+// exponents (closed forms and the generic pow path), deployment shapes,
+// and repeated scratch-reusing calls. Adversarial inputs (near-threshold
+// listeners, degenerate sizes and geometries) live in
+// test_resolve_adversarial.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -39,8 +41,8 @@ void split_nodes(const Deployment& dep, double p, Rng& rng,
 }
 
 TEST(BatchResolve, BitIdenticalAcrossAlphasAndShapes) {
-  // alpha 2.5 exercises the generic-pow (always-exact) path; 3 the rsqrt
-  // filter; 2/4/6 the exact-term filters.
+  // alpha 2.5 exercises the generic-pow screening terms; 3 the rsqrt
+  // terms; 2/4/6 the exact closed-form terms.
   for (const double alpha : {2.0, 2.5, 3.0, 4.0, 6.0}) {
     Rng rng(1000 + static_cast<std::uint64_t>(alpha * 10.0));
     for (int shape = 0; shape < 6; ++shape) {
@@ -62,14 +64,15 @@ TEST(BatchResolve, BitIdenticalAcrossAlphasAndShapes) {
             << "alpha " << alpha << " shape " << shape << " listener " << i;
       }
       const auto& stats = resolver.last_stats();
-      EXPECT_EQ(stats.certified + stats.exact_fallbacks, listeners.size());
+      EXPECT_EQ(stats.cell_certified + stats.sweep_certified + stats.exact,
+                listeners.size());
     }
   }
 }
 
 TEST(BatchResolve, FilterCertifiesTheBulkOfListeners) {
   // The perf claim is hollow if everything falls back to the exact scan:
-  // on a uniform workload with alpha = 3 the certified filter must decide
+  // on a uniform workload with alpha = 3 the certificates must decide
   // nearly every listener (near-threshold listeners are rare).
   Rng rng(77);
   const Deployment dep = uniform_square(512, 2.0 * std::sqrt(512.0), rng)
@@ -82,8 +85,10 @@ TEST(BatchResolve, FilterCertifiesTheBulkOfListeners) {
   (void)resolver.resolve(dep, tx, listeners);
   const auto& stats = resolver.last_stats();
   EXPECT_EQ(stats.listeners, listeners.size());
-  EXPECT_GE(stats.certified * 10, stats.listeners * 9)
-      << "certified " << stats.certified << " of " << stats.listeners;
+  const std::size_t certified = stats.cell_certified + stats.sweep_certified;
+  EXPECT_GE(certified * 10, stats.listeners * 9)
+      << "certified " << certified << " of " << stats.listeners;
+  EXPECT_GT(stats.cell_certified, stats.sweep_certified);
 }
 
 TEST(BatchResolve, ScratchReuseAcrossRoundsStaysBitIdentical) {
@@ -146,69 +151,20 @@ TEST(BatchResolve, ColocatedListenerThrowsLikeTheReference) {
 }
 
 TEST(BatchResolve, OptionValidation) {
-  SinrParams params;
-  params.alpha = 3.0;
-  BatchResolveOptions bad_tile;
-  bad_tile.tile_size = -1.0;
-  EXPECT_THROW(BatchResolver(params, bad_tile), std::invalid_argument);
-  BatchResolveOptions bad_ring;
-  bad_ring.far_field_tiles = true;
-  bad_ring.near_ring = 0;
-  EXPECT_THROW(BatchResolver(params, bad_ring), std::invalid_argument);
-}
-
-TEST(BatchResolveTiled, AgreesWithExactAwayFromTheThreshold) {
-  // Tile mode is approximate: decisions may flip only where the SINR sits
-  // within the far-field error bound of the threshold. On a uniform
-  // workload that is a thin shell — demand >= 97% agreement and that
-  // every disagreement is a borderline listener in the exact resolver.
-  Rng rng(5150);
-  const Deployment dep =
-      uniform_square(2048, 2.0 * std::sqrt(2048.0), rng).normalized();
-  const SinrParams params =
-      SinrParams::for_longest_link(3.0, 1.5, 1e-9, dep.max_link());
-  const SinrChannel channel(params);
-  BatchResolveOptions options;
-  options.far_field_tiles = true;
-  BatchResolver resolver(params, options);
-
-  std::vector<NodeId> tx, listeners;
-  split_nodes(dep, 0.2, rng, tx, listeners);
-  const auto reference = channel.resolve(dep, tx, listeners);
-  const auto tiled = resolver.resolve(dep, tx, listeners);
-  ASSERT_EQ(tiled.size(), reference.size());
-  EXPECT_GT(resolver.last_stats().tiled, 0u);
-
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    if (tiled[i].sender == reference[i].sender) ++agree;
-  }
-  EXPECT_GE(agree * 100, reference.size() * 97)
-      << agree << " of " << reference.size();
-}
-
-TEST(BatchResolveTiled, HugeNearRingMatchesExactDecisions) {
-  // With a near ring wider than the whole grid there is no far field, so
-  // tile mode computes exact signals (only the summation grouping
-  // differs); decisions must match the reference on this workload.
-  Rng rng(6001);
-  const Deployment dep =
-      uniform_square(256, 2.0 * std::sqrt(256.0), rng).normalized();
-  const SinrParams params =
-      SinrParams::for_longest_link(3.0, 1.5, 1e-9, dep.max_link());
-  const SinrChannel channel(params);
-  BatchResolveOptions options;
-  options.far_field_tiles = true;
-  options.near_ring = 1u << 20;
-  BatchResolver resolver(params, options);
-
-  std::vector<NodeId> tx, listeners;
-  split_nodes(dep, 0.25, rng, tx, listeners);
-  const auto reference = channel.resolve(dep, tx, listeners);
-  const auto tiled = resolver.resolve(dep, tx, listeners);
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(tiled[i].sender, reference[i].sender) << "listener " << i;
-  }
+  // The resolver has no tuning options; what it validates is its channel
+  // parameters (at construction) and the mask word counts (per call).
+  SinrParams bad;
+  bad.alpha = 3.0;
+  bad.beta = 0.0;
+  EXPECT_THROW(BatchResolver{bad}, std::invalid_argument);
+  Rng rng(9);
+  const Deployment dep = uniform_square(20, 6.0, rng).normalized();
+  BatchResolver resolver(
+      SinrParams::for_longest_link(3.0, 1.5, 1e-9, dep.max_link()));
+  const std::vector<std::uint64_t> tx = {1}, listen = {2};
+  std::vector<std::uint64_t> received(2, 0);
+  EXPECT_THROW(resolver.resolve_mask(dep, tx, listen, received),
+               std::invalid_argument);
 }
 
 }  // namespace
